@@ -6,7 +6,7 @@ from repro.harness.experiments import fig5_bandwidth
 
 
 def test_fig5_bandwidth(run_once, emit, artifact, trace_artifact):
-    result = run_once(fig5_bandwidth, ops_per_thread=25)
+    result = run_once(fig5_bandwidth, ops_per_thread=25, trace=True)
     emit(format_table(result["title"], result["headers"], result["rows"]))
     artifact("fig5_bandwidth", result)
     trace_artifact("fig5", result["tracer"])

@@ -72,6 +72,10 @@ class KamlStore:
             env, self.costs, records_per_lock=records_per_lock, metrics=self.metrics
         )
         self.stats = StoreStats(self.metrics)
+        # Bound once: every transaction bumps one of these.
+        self._txn_begun = self.metrics.counter("store.txn.begun")
+        self._txn_committed = self.metrics.counter("store.txn.committed")
+        self._txn_aborted = self.metrics.counter("store.txn.aborted")
         self._next_txn_id = 1
 
     # ------------------------------------------------------------------
@@ -94,7 +98,7 @@ class KamlStore:
         txn = Transaction(self._next_txn_id)
         self._next_txn_id += 1
         txn.begin()
-        self.metrics.counter("store.txn.begun").inc()
+        self._txn_begun.inc()
         return txn
 
     def transaction_read(self, txn: Transaction, namespace_id: int, key: int) -> Any:
@@ -256,7 +260,7 @@ class KamlStore:
             yield self.env.timeout(self.costs.txn_overhead_us)
             txn.mark_committed()
             self.locks.release_all(txn)
-            self.metrics.counter("store.txn.committed").inc()
+            self._txn_committed.inc()
         finally:
             ctx.close()
             self.slo.record(
@@ -275,7 +279,7 @@ class KamlStore:
         txn.mark_aborted()
         self.locks.cancel_wait(txn)
         self.locks.release_all(txn)
-        self.metrics.counter("store.txn.aborted").inc()
+        self._txn_aborted.inc()
 
     def transaction_free(self, txn: Transaction) -> None:
         """``TransactionFree()``: release the XCB (back to IDLE)."""

@@ -252,6 +252,8 @@ def run_cluster_scenario(
         device_config if device_config is not None else default_device_config(),
         default_cluster_config(num_shards),
     )
+    # Armed so a failing cell's flight-recorder dump holds its spans.
+    cluster.tracer.enabled = True
     cluster.register_tenant(TenantPolicy(TENANT, latency_budget_us=50_000.0))
     injector = ClusterPowerLossInjector(cluster, plan).attach()
     shadow = ShadowModel()

@@ -170,6 +170,8 @@ def run_scenario(
     """
     env = Environment()
     ssd = KamlSsd(env, config if config is not None else default_config())
+    # Armed so a failing cell's flight-recorder dump holds its spans.
+    ssd.tracer.enabled = True
     if program_fail_rate > 0.0 or erase_fail_rate > 0.0:
         FlashFaultInjector(
             seed * 31 + 7, program_fail_rate, erase_fail_rate, metrics=ssd.metrics

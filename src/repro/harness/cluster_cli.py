@@ -76,6 +76,8 @@ def run_cluster_cell(
     cluster = KamlCluster.build(
         env, default_device_config(), ClusterConfig(num_shards=num_shards)
     )
+    # Armed so a failing cell's flight-recorder dump holds its spans.
+    cluster.tracer.enabled = True
     collector = TimeSeriesCollector(env, interval_us=collector_interval_us)
     install_cluster_probes(collector, cluster)
     collector.start()

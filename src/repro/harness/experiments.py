@@ -68,9 +68,17 @@ def fig5_bandwidth(
     load_factors=(0.1, 0.4, 0.7, 0.9),
     threads: int = 8,
     ops_per_thread: int = 30,
+    trace: bool = False,
 ) -> Dict[str, Any]:
+    """``trace=True`` arms each KAML stack's tracer, so the returned
+    ``tracer`` holds the final sweep point's spans."""
     rows: List[List[Any]] = []
     metrics: Dict[str, float] = {}
+
+    def kaml_ssd():
+        env, ssd = build_kaml_ssd()
+        ssd.tracer.enabled = trace
+        return env, ssd
 
     for value_size in value_sizes:
         env, device = build_block_device()
@@ -79,7 +87,7 @@ def fig5_bandwidth(
         metrics[f"read/{value_size}"] = read.throughput_mb_s
         for load_factor in load_factors:
             keys = max(threads, int(INDEX_CAPACITY * load_factor))
-            env, ssd = build_kaml_ssd()
+            env, ssd = kaml_ssd()
             namespace_id = _fresh_namespace(env, ssd, keys)
             kaml_populate(env, ssd, namespace_id, keys, value_size)
             get = kaml_fetch(env, ssd, namespace_id, keys, value_size,
@@ -95,7 +103,7 @@ def fig5_bandwidth(
         metrics[f"write-upd/{value_size}"] = write.throughput_mb_s
 
         keys = int(INDEX_CAPACITY * update_lf)
-        env, ssd = build_kaml_ssd()
+        env, ssd = kaml_ssd()
         namespace_id = _fresh_namespace(env, ssd, keys)
         kaml_populate(env, ssd, namespace_id, keys, value_size)
         put = kaml_update(env, ssd, namespace_id, keys, value_size,
@@ -109,7 +117,7 @@ def fig5_bandwidth(
         rows.append(["insert", value_size, "write", "-", write.throughput_mb_s])
         metrics[f"write-ins/{value_size}"] = write.throughput_mb_s
 
-        env, ssd = build_kaml_ssd()
+        env, ssd = kaml_ssd()
         namespace_id = _fresh_namespace(env, ssd, 0)
         put = kaml_insert(env, ssd, namespace_id, value_size,
                           threads, ops_per_thread)

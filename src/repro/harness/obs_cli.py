@@ -34,6 +34,9 @@ def _build_stack(cache_bytes: int, capacity: int):
     from repro.workloads.oltp import drive
 
     env, ssd, store = build_kaml_store(cache_bytes=cache_bytes)
+    # Tracers start disarmed; the trace summary, breach dumps and exports
+    # all read spans, so arm before any op runs.
+    ssd.tracer.enabled = True
 
     def create():
         attributes = NamespaceAttributes(
@@ -73,6 +76,24 @@ def _dashboard(env, ssd, namespace_id, interval_us, done, out):
             f"spans={recorder.recorded:>6d} (dropped {recorder.dropped})",
             file=out,
         )
+
+
+def _breach_line(dump: Dict[str, Any]) -> str:
+    """One report line per SLO breach dump."""
+    breach = dump["breach"]
+    # op_id joins the breach back to its captured journal row (0 when the
+    # op journal was off for this run).
+    op_ref = f" op_id={breach['op_id']}" if breach.get("op_id") else ""
+    events = (
+        f"{len(dump['events'])} causally-linked events"
+        if dump["traced"]
+        else "no spans: tracing was off"
+    )
+    return (
+        f"  {breach['op']} ns={breach['namespace']} "
+        f"{breach['latency_us']:.1f}us > {breach['threshold_us']:.1f}us "
+        f"at t={breach['start_us']:.1f}{op_ref} ({events})"
+    )
 
 
 def run_obs(args: argparse.Namespace, out=None) -> Dict[str, Any]:
@@ -151,17 +172,7 @@ def run_obs(args: argparse.Namespace, out=None) -> Dict[str, Any]:
         file=out,
     )
     for dump in breach_dumps[: args.max_breach_prints]:
-        breach = dump["breach"]
-        # op_id joins the breach back to its captured journal row (0
-        # when the op journal was off for this run).
-        op_ref = f" op_id={breach['op_id']}" if breach.get("op_id") else ""
-        print(
-            f"  {breach['op']} ns={breach['namespace']} "
-            f"{breach['latency_us']:.1f}us > {breach['threshold_us']:.1f}us "
-            f"at t={breach['start_us']:.1f}{op_ref} "
-            f"({len(dump['events'])} causally-linked events)",
-            file=out,
-        )
+        print(_breach_line(dump), file=out)
 
     profile_report = None
     if args.profile:

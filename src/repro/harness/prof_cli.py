@@ -43,9 +43,11 @@ def _build_stack(cache_bytes: int, recorder_capacity: int):
     from repro.harness.runner import build_kaml_store
 
     env, ssd, store = build_kaml_store(cache_bytes=cache_bytes)
-    # The default ring keeps the last 16Ki spans — plenty for breach
-    # dumps, too small for a whole profiled run.  Swap in a large ring
-    # shared by the tracer and the SLO tracker before any span records.
+    # Tracers start disarmed; the profile is built from spans, so arm
+    # before any op runs.  The default ring keeps the last 16Ki spans —
+    # plenty for breach dumps, too small for a whole profiled run — so a
+    # large ring shared by the tracer and the SLO tracker goes in too.
+    ssd.tracer.enabled = True
     recorder = FlightRecorder(capacity=recorder_capacity)
     ssd.tracer.recorder = recorder
     ssd.slo.recorder = recorder

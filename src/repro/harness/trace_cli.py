@@ -122,6 +122,8 @@ def run_record(args: argparse.Namespace, out=None) -> Dict[str, Any]:
     from repro.harness.runner import build_kaml_store
 
     env, ssd, store = build_kaml_store(cache_bytes=args.cache_bytes)
+    # Armed so journal rows carry the trace id of the command they record.
+    ssd.tracer.enabled = True
     journal = ssd.enable_oplog(path=args.out, capacity=args.capacity)
     try:
         _SIM_RECORDERS[args.workload](env, ssd, store, args)
@@ -215,6 +217,8 @@ def run_replay(args: argparse.Namespace, out=None) -> Dict[str, Any]:
 
     capture = None
     if args.capture_out:
+        # Armed so re-captured rows carry trace ids, as `record` rows do.
+        ssd.tracer.enabled = True
         capture = ssd.enable_oplog(path=args.capture_out, capacity=args.capacity)
     try:
         result = replay_journal(

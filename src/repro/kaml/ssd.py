@@ -160,7 +160,9 @@ class KamlSsd:
         )
         env.attach_metrics(self.metrics)
         #: Request-scoped tracing: one tracer + flight recorder per stack,
-        #: and the per-namespace latency SLO tracker on top of both.
+        #: and the per-namespace latency SLO tracker on top of both.  The
+        #: tracer starts disarmed (no spans, no span-id churn); set
+        #: ``ssd.tracer.enabled = True`` before the first op to record.
         self.tracer = Tracer(clock=lambda: env.now)
         env.attach_tracer(self.tracer)
         self.slo = SloTracker(self.metrics, self.tracer.recorder)
@@ -645,8 +647,8 @@ class KamlSsd:
                 put_bytes_counters[item.namespace_id] = counter
             counter.inc(item.size)
         owns_ctx = ctx is None
-        if owns_ctx and not self.tracer.enabled:
-            # Disarmed tracer: skip building span tags entirely.
+        if ctx is NULL_CONTEXT or (owns_ctx and not self.tracer.enabled):
+            # Nothing will be recorded: skip building span tags entirely.
             ctx = NULL_CONTEXT
             put_span = ctx.root
         else:

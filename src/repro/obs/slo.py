@@ -12,7 +12,9 @@ bounds are pinned, because the causally-linked spans of the slow command
 (its NVRAM pin, background phase 2, log appends) may not have completed
 yet.  :meth:`SloTracker.breach_dump` materialises the dump later —
 typically at end of run — by pulling the trace plus the surrounding
-window out of the flight recorder.
+window out of the flight recorder.  Breach counting never depends on the
+tracer; only the dump's spans do, and a dump taken with the tracer
+disarmed says so (``traced: false``).
 """
 
 from __future__ import annotations
@@ -167,6 +169,9 @@ class SloTracker:
         The returned events are whatever the flight recorder still
         retains; a breach resolved long after the fact may have lost its
         window to ring eviction (``capacity`` bounds memory, not time).
+        ``traced`` is False when the breaching command ran with its
+        tracer disarmed (trace id 0): the empty span list then means
+        "nothing was recorded", not "nothing happened".
         """
         window = self.recorder.window(
             breach.start_us - self.window_slack_us,
@@ -178,6 +183,7 @@ class SloTracker:
         combined.sort(key=lambda e: (e.start_us, e.span_id))
         return {
             "breach": breach._asdict(),
+            "traced": breach.trace_id != 0,
             "events": [event.export() for event in combined],
         }
 

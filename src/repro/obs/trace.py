@@ -265,10 +265,12 @@ class TraceContext:
 class FlightRecorder:
     """Bounded ring buffer of completed :class:`SpanEvent` records.
 
-    Retention is O(1) per event (a ``deque`` with ``maxlen``); the cost of
-    keeping the recorder always-on is two attribute writes per span, so it
-    stays enabled even in benchmark runs.  ``window``/``trace`` carve out
-    the events around an anomaly after the fact.
+    Retention is O(1) per event (a ``deque`` with ``maxlen``).  The ring
+    only fills while its :class:`Tracer` is armed, and tracers start
+    disarmed: the tools that read spans (``harness prof``/``obs``/
+    ``record``, the crash harnesses) set ``tracer.enabled = True`` right
+    after building their stack.  ``window``/``trace`` carve out the events
+    around an anomaly after the fact.
     """
 
     def __init__(self, capacity: int = 16384):
@@ -372,6 +374,10 @@ class Tracer:
     tracer does *not* feed histograms — the registry's explicit
     ``observe`` calls remain the single source of metric truth — it only
     preserves the causal event stream.
+
+    A tracer starts disarmed: :meth:`request` hands out the shared
+    :data:`NULL_CONTEXT` until a caller sets ``enabled = True``.  Arm it
+    before the first op runs so span and trace ids start from 1.
     """
 
     def __init__(
@@ -382,7 +388,7 @@ class Tracer:
     ):
         self.clock = clock if clock is not None else (lambda: 0.0)
         self.recorder = recorder if recorder is not None else FlightRecorder(capacity)
-        self.enabled = True
+        self.enabled = False
         self._trace_counter = 0
         self._span_counter = 0
 

@@ -192,8 +192,11 @@ class Environment:
         """Track the pending-event queue depth in ``registry``.
 
         The gauge's high-water mark exposes how much concurrent work the
-        simulated system keeps in flight.  First caller wins: one stack
-        root (the SSD under test) owns an environment's gauge.
+        simulated system keeps in flight.  It is set on schedule only: the
+        heap grows nowhere else, so the high-water mark is exact, and
+        ``value`` is the depth right after the latest schedule.  First
+        caller wins: one stack root (the SSD under test) owns an
+        environment's gauge.
         """
         if self._queue_gauge is None:
             self._queue_gauge = registry.gauge("sim.queue_depth")
@@ -307,8 +310,6 @@ class Environment:
         self.events_processed += 1
         if event._defused:
             self._ndefused -= 1
-        if self._queue_gauge is not None:
-            self._queue_gauge.set(len(self._queue))
         event._run_callbacks()
 
     def run_until(self, event: Event) -> None:
@@ -337,8 +338,6 @@ class Environment:
                 if callbacks:
                     for callback in callbacks:
                         callback(popped)
-                if self._queue_gauge is not None:
-                    self._queue_gauge.set(len(queue))
                 if queue is not self._queue:  # compacted mid-flight
                     queue = self._queue
         finally:
@@ -369,8 +368,6 @@ class Environment:
                 if callbacks:
                     for callback in callbacks:
                         callback(event)
-                if self._queue_gauge is not None:
-                    self._queue_gauge.set(len(queue))
                 if queue is not self._queue:  # compacted mid-flight
                     queue = self._queue
         finally:

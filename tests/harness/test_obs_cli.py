@@ -34,6 +34,7 @@ def test_slo_breaches_are_detected_and_dumped():
     assert result["breaches"], "sub-microsecond SLO must breach"
     dump = result["breaches"][0]
     assert dump["breach"]["op"] == "put"
+    assert dump["traced"] is True
     assert dump["events"], "breach dump must carry flight-recorder events"
 
 

@@ -27,6 +27,7 @@ def run_churn(overwrites=400, working_set=6, value_size=2048):
         geometry=geometry, kaml=KamlParams(num_logs=1, flush_timeout_us=200.0)
     )
     ssd = KamlSsd(env, config)
+    ssd.tracer.enabled = True
 
     def churn():
         nsid = yield from ssd.create_namespace(

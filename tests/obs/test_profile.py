@@ -33,7 +33,9 @@ def clock():
 
 @pytest.fixture
 def tracer(clock):
-    return Tracer(clock=clock)
+    tracer = Tracer(clock=clock)
+    tracer.enabled = True  # tracers start disarmed
+    return tracer
 
 
 def _components_us(report, op, namespace="1"):

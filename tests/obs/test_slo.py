@@ -97,6 +97,7 @@ def test_breach_dump_merges_trace_and_window():
     tracker.set_slo("put", 1.0)
     clock = {"now": 0.0}
     tracer = Tracer(clock=lambda: clock["now"], recorder=recorder)
+    tracer.enabled = True
     slow = tracer.request("slow.put")
     clock["now"] = 50.0
     slow.close()
@@ -111,6 +112,23 @@ def test_breach_dump_merges_trace_and_window():
     assert "slow.put" in names
     assert "unrelated" not in names
     assert dump["breach"]["latency_us"] == 50.0
+    assert dump["traced"] is True
+
+
+def test_untraced_breach_is_counted_and_its_dump_says_so():
+    from repro.harness.obs_cli import _breach_line
+
+    tracker = make_tracker()
+    tracker.set_slo("put", 1.0)
+    # A disarmed tracer hands out NULL_CONTEXT, whose trace id is 0.
+    breach = tracker.record("put", 1, 0.0, 50.0, trace_id=0)
+    assert tracker.breaches == [breach]
+    counter = tracker.registry.counter("slo.breaches", op="put", namespace="1")
+    assert counter.value == 1
+    dump = tracker.breach_dump(breach)
+    assert dump["traced"] is False
+    assert dump["events"] == []
+    assert "tracing was off" in _breach_line(dump)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +140,7 @@ def test_slow_put_breach_dumps_causally_linked_chain():
     from repro.harness.runner import build_kaml_store
 
     env, ssd, store = build_kaml_store(cache_bytes=1 << 20)
+    ssd.tracer.enabled = True
 
     def scenario():
         namespace_id = yield from ssd.create_namespace()

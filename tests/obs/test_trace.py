@@ -30,7 +30,9 @@ def clock():
 
 @pytest.fixture
 def tracer(clock):
-    return Tracer(clock=clock)
+    tracer = Tracer(clock=clock)
+    tracer.enabled = True  # tracers start disarmed
+    return tracer
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +177,7 @@ def test_null_context_is_inert():
 
 def test_disarmed_tracer_requests_are_free(clock):
     tracer = Tracer(clock=clock)
-    tracer.enabled = False
+    assert tracer.enabled is False  # disarmed by default
     ctx = tracer.request("op")
     assert ctx is NULL_CONTEXT
     assert tracer.recorder.recorded == 0
@@ -190,6 +192,7 @@ def test_disarmed_tracer_requests_are_free(clock):
 
 def test_ring_buffer_evicts_oldest_and_counts_drops(clock):
     tracer = Tracer(clock=clock, capacity=4)
+    tracer.enabled = True
     ctx = tracer.request("op")
     for i in range(10):
         clock.now = float(i)

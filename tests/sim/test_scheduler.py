@@ -133,6 +133,32 @@ def test_queue_depth_includes_ghosts_until_compaction():
     assert env._ndefused == 1
 
 
+def test_queue_gauge_high_water_is_exact_without_dispatch_updates():
+    from repro.obs import MetricsRegistry
+
+    env = Environment()
+    registry = MetricsRegistry()
+    env.attach_metrics(registry)
+    peak = 0
+
+    def proc(env, fanout):
+        nonlocal peak
+        for _ in range(3):
+            for delay in range(fanout):
+                env.timeout(float(delay))
+            wait = env.timeout(float(fanout))
+            # The heap only grows on schedule: this is a local maximum.
+            peak = max(peak, env.queue_depth)
+            yield wait
+
+    env.process(proc(env, 5))
+    env.process(proc(env, 9))
+    env.run()
+    gauge = registry.gauge("sim.queue_depth")
+    assert gauge.high_water == peak
+    assert env.queue_depth == 0
+
+
 def test_events_processed_counts_dispatches():
     env = Environment()
 
