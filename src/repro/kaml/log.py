@@ -14,6 +14,7 @@ go through the hooks the :class:`~repro.kaml.ssd.KamlSsd` provides.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -30,7 +31,7 @@ from repro.flash import (
 from repro.ftl.gc_policy import GcCandidate, WearAwarePolicy
 from repro.kaml.record import PageAssembly, Record, RecordLocation, RecordTooLargeError
 from repro.obs import NULL_CONTEXT, NullTracer, TraceContext
-from repro.sim import Environment, Event, Gate, SimLock
+from repro.sim import Environment, Event, SimLock
 
 
 class LogSpaceError(Exception):
@@ -93,7 +94,15 @@ class LogStats:
 
 
 class KamlLog:
-    """One append log on one flash target."""
+    """One append log on one flash target.
+
+    A flush that finds no programmable page parks on an ordered wait
+    list until GC frees space.  Each erase wakes, in the order flushes
+    first parked, only those that can get a page now (plus one, see
+    :meth:`_wake_budget`); the end of a GC pass wakes every parked flush
+    so the first one still stuck restarts GC or fails with
+    :class:`LogSpaceError`.
+    """
 
     #: Bounded retries for transient media faults before giving up.
     MAX_PROGRAM_RETRIES = 4
@@ -160,7 +169,10 @@ class KamlLog:
         )
         #: (namespace_id, stream) -> (records counter, bytes counter)
         self._append_counters: Dict[Tuple[int, str], Tuple[Any, Any]] = {}
-        self.space_gate = Gate(env, name=f"log{log_id}.space")
+        #: Flushes waiting for GC to free space, as ``(ticket, for_gc,
+        #: wake)`` sorted by the ticket each took when it first parked.
+        self._parked: List[Tuple[int, bool, Event]] = []
+        self._next_ticket = 0
         self.gc_running = False
         #: Bumped by crash recovery; in-flight processes from before the
         #: crash notice the change and die without touching state.
@@ -292,6 +304,13 @@ class KamlLog:
         self, assembly: PageAssembly, waiters, for_gc: bool,
         epoch: Optional[int] = None,
     ) -> Any:
+        """Program one assembled page and resolve its records' events.
+
+        With no programmable page and GC running, the flush parks on the
+        log's wait list (see :meth:`_wake_parked`) under the ticket of
+        its first park, and retries when woken; with GC idle it fails
+        its records with :class:`LogSpaceError`.
+        """
         if epoch is None:
             epoch = self.epoch
         if self.epoch != epoch:
@@ -309,6 +328,7 @@ class KamlLog:
                 data[start_cursor] = record
                 start_cursor += record.chunks(self.geometry.chunk_size)
             attempts = 0
+            ticket: Optional[int] = None
             while True:
                 if self.epoch != epoch:
                     return  # ghost flush from before a crash
@@ -323,7 +343,12 @@ class KamlLog:
                         return
                     self._program_lock.release()
                     held = False
-                    yield self.space_gate.wait()
+                    if ticket is None:
+                        ticket = self._next_ticket
+                        self._next_ticket += 1
+                    wake = self.env.event()
+                    bisect.insort(self._parked, (ticket, for_gc, wake))
+                    yield wake
                     yield self._program_lock.acquire(owner=("flush-retry", for_gc))
                     held = True
                     continue
@@ -541,6 +566,8 @@ class KamlLog:
                         # II-A's "limited number of erase operations").
                         retired = True
                         break
+                if self.epoch != epoch:
+                    return  # cut mid-pulse: the block was never erased
                 if retired:
                     self.metrics.counter(
                         "kaml.log.retired_blocks", log=self.log_id
@@ -556,12 +583,47 @@ class KamlLog:
                 ).inc()
                 self.hooks.block_erased(block_key)
                 self.free.append(block_index)
-                self.space_gate.fire()
+                self._wake_parked()
         finally:
-            self.gc_running = False
             ctx.close()
-            # Wake any flush that was waiting so it can re-check state.
-            self.space_gate.fire()
+            if self.epoch == epoch:
+                self.gc_running = False
+                # Every parked flush re-checks: the first still without a
+                # page restarts GC or fails with LogSpaceError.
+                parked, self._parked = self._parked, []
+                for _ticket, _for_gc, wake in parked:
+                    wake.succeed()
+
+    def _wake_parked(self) -> None:
+        """After an erase, wake each stream's first :meth:`_wake_budget`
+        parked flushes in ticket order; the others would only fail
+        again, so they stay parked without costing an event."""
+        budget = {False: self._wake_budget(False), True: self._wake_budget(True)}
+        still_parked = []
+        for entry in self._parked:
+            for_gc = entry[1]
+            if budget[for_gc] > 0:
+                budget[for_gc] -= 1
+                entry[2].succeed()
+            else:
+                still_parked.append(entry)
+        self._parked = still_parked
+
+    def _wake_budget(self, for_gc: bool) -> int:
+        """Parked flushes of one stream an erase wakes.
+
+        One per page :meth:`_try_allocate` could hand the stream right
+        now (the rest of its active block plus the free blocks beyond its
+        reserve), and one more whose failed allocation moves the filled
+        active block to the full list at the same instant as it would
+        if every flush woke, so GC sees the same victims.
+        """
+        active = self._active[for_gc] is not None
+        pages = self.geometry.pages_per_block - self._active_wp[for_gc] if active else 0
+        spare_blocks = len(self.free) - (0 if for_gc else 1)
+        if spare_blocks > 0:
+            pages += spare_blocks * self.geometry.pages_per_block
+        return pages + 1 if active or pages else 0
 
     def _gc_feasible(self, candidate: GcCandidate) -> bool:
         """Can the victim's survivors fit in the pages GC can reach?
@@ -666,8 +728,13 @@ class KamlLog:
 
     def reset_write_points(self) -> None:
         """Drop open-page state after a simulated crash; the records are
-        still staged in NVRAM and will be replayed (Section IV-D)."""
+        still staged in NVRAM and will be replayed (Section IV-D).
+
+        Parked flushes are dropped: their pages died with the cut, and a
+        ghost must never take a wake-up a post-recovery flush needs.
+        """
         self.epoch += 1
+        self._parked = []
         for for_gc in (False, True):
             point = self._points[for_gc]
             if point.timer is not None:
