@@ -21,9 +21,10 @@ kamllint:
 	$(PYTHON) -m repro.analysis_tools src/repro
 
 # Everything the CI lint-deep job runs: mypy gates hard on the strict
-# obs/sim/cluster modules and stays advisory on the rest of the tree.
+# obs/sim/cluster modules and the canonical workload registry, and stays
+# advisory on the rest of the tree.
 lint-deep: kamllint
-	mypy -p repro.sim -p repro.obs -p repro.cluster
+	mypy -p repro.sim -p repro.obs -p repro.cluster -m repro.workloads.canonical
 	-mypy src/repro
 
 format:

@@ -56,7 +56,8 @@ def crash_recovery_demo() -> None:
     proc = env.process(recover_and_check())
     env.run_until(proc)
     print(f"after recovery: {proc.value}")
-    print(f"recovered batches: {ssd.stats.recovered_batches} "
+    recovered = int(ssd.metrics.total("kaml.ssd.recovered_batches"))
+    print(f"recovered batches: {recovered} "
           f"(replayed from battery-backed NVRAM)\n")
 
 
@@ -85,7 +86,7 @@ def snapshot_demo() -> None:
         yield from ssd.drain()
         current = yield from ssd.get(nsid, 0)
         frozen = yield from ssd.get_from_snapshot(snap, 0)
-        erased = ssd.logs[0].stats.gc_erased_blocks
+        erased = int(ssd.metrics.total("kaml.log.gc.erased_blocks", log=0))
         yield from ssd.delete_snapshot(snap)
         return current, frozen, erased
 

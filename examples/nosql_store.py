@@ -10,6 +10,7 @@ Run:  python examples/nosql_store.py
 """
 
 from repro.harness import build_kaml_store, build_shore_engine, format_kv
+from repro.obs import derived_metrics
 from repro.workloads import KamlAdapter, ShoreAdapter, Ycsb
 
 RECORDS = 600
@@ -27,8 +28,8 @@ def run_kaml():
         "operations": result.transactions,
         "throughput ops/s": result.tps,
         "mean latency us": result.mean_latency_us,
-        "cache hit ratio": store.buffer.stats.hit_ratio,
-        "cache evictions": store.buffer.stats.evictions,
+        "cache hit ratio": derived_metrics(store.metrics).get("cache.hit_rate", 0.0),
+        "cache evictions": int(store.metrics.total("cache.evictions")),
         "deadlock aborts": result.aborts,
     }))
     return result.tps

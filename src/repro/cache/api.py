@@ -27,27 +27,7 @@ from repro.cache.locks import DeadlockError, LockManager, LockMode
 from repro.cache.transaction import DELETED, Transaction, TxnState
 from repro.config import HostCosts
 from repro.kaml import KamlSsd, NamespaceAttributes, PutItem
-from repro.obs import MetricsRegistry
 from repro.sim import Environment
-
-
-class StoreStats:
-    """Compatible accessor over the ``store.txn.*`` registry counters."""
-
-    def __init__(self, metrics: MetricsRegistry):
-        self._metrics = metrics
-
-    @property
-    def begun(self) -> int:
-        return int(self._metrics.total("store.txn.begun"))
-
-    @property
-    def committed(self) -> int:
-        return int(self._metrics.total("store.txn.committed"))
-
-    @property
-    def aborted(self) -> int:
-        return int(self._metrics.total("store.txn.aborted"))
 
 
 class KamlStore:
@@ -71,7 +51,6 @@ class KamlStore:
         self.locks = LockManager(
             env, self.costs, records_per_lock=records_per_lock, metrics=self.metrics
         )
-        self.stats = StoreStats(self.metrics)
         # Bound once: every transaction bumps one of these.
         self._txn_begun = self.metrics.counter("store.txn.begun")
         self._txn_committed = self.metrics.counter("store.txn.committed")

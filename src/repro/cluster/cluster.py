@@ -69,7 +69,7 @@ class KamlCluster:
                 f"{len(devices)} devices were given"
             )
         self.shards: Dict[int, Device] = dict(enumerate(devices))
-        self.metrics = MetricsRegistry(clock=lambda: env.now)
+        self.metrics = MetricsRegistry()
         self.tracer = Tracer(clock=lambda: env.now)
         self.qos = QosManager(self.metrics, self.tracer.recorder)
         self.placement = PlacementMap(len(devices))

@@ -269,7 +269,7 @@ def run_scenario(
         "ops": len(shadow.ops),
         "acked_ops": shadow.acked_ops,
         "in_flight_ops": shadow.in_flight_ops,
-        "recovered_batches": ssd.stats.recovered_batches,
+        "recovered_batches": int(ssd.metrics.total("kaml.ssd.recovered_batches")),
         "scanned_pages": int(ssd.metrics.total("kaml.recover.scanned_pages")),
         "scanned_records": int(ssd.metrics.total("kaml.recover.scanned_records")),
         "sim_time_us": env.now,

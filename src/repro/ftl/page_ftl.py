@@ -61,44 +61,6 @@ class _Target:
     space_gate: Gate = None  # fired when GC frees a block
 
 
-class FtlStats:
-    """Registry-backed counters with the legacy attribute names."""
-
-    def __init__(self, metrics):
-        self._metrics = metrics
-
-    def _count(self, name: str) -> int:
-        return int(self._metrics.total(name))
-
-    @property
-    def host_reads(self) -> int:
-        return self._count("ftl.host_reads")
-
-    @property
-    def host_writes(self) -> int:
-        return self._count("ftl.host_writes")
-
-    @property
-    def rmw_reads(self) -> int:
-        return self._count("ftl.rmw_reads")
-
-    @property
-    def gc_relocated_pages(self) -> int:
-        return self._count("ftl.gc.relocated_pages")
-
-    @property
-    def gc_erased_blocks(self) -> int:
-        return self._count("ftl.gc.erased_blocks")
-
-    @property
-    def flash_programs(self) -> int:
-        return self._count("ftl.flash_programs")
-
-    @property
-    def retired_blocks(self) -> int:
-        return self._count("ftl.retired_blocks")
-
-
 class PageFtl:
     """Page-mapped FTL over a :class:`~repro.flash.FlashArray`."""
 
@@ -116,9 +78,7 @@ class PageFtl:
         self.array = array
         self.firmware = firmware
         self.nvram = nvram
-        self.metrics = metrics if metrics is not None else MetricsRegistry(
-            clock=lambda: env.now
-        )
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         env.attach_metrics(self.metrics)
         self.tracer = Tracer(clock=lambda: env.now)
         env.attach_tracer(self.tracer)
@@ -131,7 +91,6 @@ class PageFtl:
         usable_pages = int(self.geometry.total_pages * (1.0 - self.params.overprovision))
         self.logical_pages = usable_pages * self.slots_per_page
         self.map = DirectMap(self.logical_pages)
-        self.stats = FtlStats(self.metrics)
         self.gc_policy = WearAwarePolicy()
         self.gc_policy.metrics = self.metrics
         self._page_locks = LockTable(

@@ -80,8 +80,8 @@ def gc_policy_ablation(
             yield from ssd.drain()
 
         drive(env, churn())
-        relocated = log.stats.gc_relocated_records
-        erased = log.stats.gc_erased_blocks
+        relocated = int(ssd.metrics.total("kaml.log.gc.relocated_records"))
+        erased = int(ssd.metrics.total("kaml.log.gc.erased_blocks"))
         low, high = ssd.array.erase_count_spread()
         write_amp = 1.0 + relocated / max(1, overwrites)
         rows.append([name, relocated, erased, write_amp, high - low])
@@ -177,8 +177,8 @@ def flush_timer_ablation(
             return env.now - start
 
         drain_lag = drive(env, trickle())
-        wasted = sum(log.stats.wasted_chunks for log in ssd.logs)
-        programmed = sum(log.stats.programmed_pages for log in ssd.logs)
+        wasted = int(ssd.metrics.total("kaml.log.wasted_chunks"))
+        programmed = int(ssd.metrics.total("kaml.log.programmed_pages"))
         rows.append([timeout_us, drain_lag, programmed, wasted])
         metrics[f"drain-lag/{timeout_us}"] = drain_lag
         metrics[f"pages/{timeout_us}"] = programmed

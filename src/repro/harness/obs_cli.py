@@ -1,6 +1,6 @@
 """``python -m repro.harness obs`` — the observability driver.
 
-Runs a seeded mixed Get/Put workload against a full KAML store stack with
+Runs the canonical ``mixed`` workload against a full KAML store stack with
 latency SLOs armed, prints a live (simulated-time) dashboard while the
 workload runs, and finishes with the trace summary, per-namespace
 latency percentiles, and any SLO breach dumps.  The flight recorder's
@@ -19,45 +19,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from typing import Any, Dict, List, Optional
 
 from repro.harness.reporting import format_kv, format_table
-from repro.kaml import NamespaceAttributes
 from repro.obs import analyze, write_chrome_trace
 from repro.obs.profile import breakdown_rows
-
-
-def _build_stack(cache_bytes: int, capacity: int):
-    from repro.harness.runner import build_kaml_store
-    from repro.workloads.oltp import drive
-
-    env, ssd, store = build_kaml_store(cache_bytes=cache_bytes)
-    # Tracers start disarmed; the trace summary, breach dumps and exports
-    # all read spans, so arm before any op runs.
-    ssd.tracer.enabled = True
-
-    def create():
-        attributes = NamespaceAttributes(
-            expected_keys=int(capacity * 0.75), target_load=0.75
-        )
-        namespace_id = yield from ssd.create_namespace(attributes)
-        return namespace_id
-
-    namespace_id = drive(env, create())
-    return env, ssd, store, namespace_id
-
-
-def _worker(store, namespace_id, rng, ops, value_bytes, key_space, write_fraction):
-    for _ in range(ops):
-        key = rng.randrange(key_space)
-        if rng.random() < write_fraction:
-            yield from store.put(
-                namespace_id, key, ("obs", key), value_bytes
-            )
-        else:
-            yield from store.get(namespace_id, key)
+from repro.workloads.canonical import Mixed
 
 
 def _dashboard(env, ssd, namespace_id, interval_us, done, out):
@@ -99,7 +67,15 @@ def _breach_line(dump: Dict[str, Any]) -> str:
 def run_obs(args: argparse.Namespace, out=None) -> Dict[str, Any]:
     """Build the stack, run the workload, report; returns the result dict."""
     out = out if out is not None else sys.stdout
-    env, ssd, store, namespace_id = _build_stack(args.cache_bytes, args.key_space)
+    from repro.harness.runner import build_kaml_store
+
+    env, ssd, store = build_kaml_store(cache_bytes=args.cache_bytes)
+    # Tracers start disarmed; the trace summary, breach dumps and exports
+    # all read spans, so arm before any op runs.
+    ssd.tracer.enabled = True
+    workload = Mixed(env, store, seed=args.seed, key_space=args.key_space)
+    workload.setup()
+    namespace_id = workload.namespace_id
     journal = None
     if args.record_out:
         journal = ssd.enable_oplog(
@@ -112,22 +88,7 @@ def run_obs(args: argparse.Namespace, out=None) -> Dict[str, Any]:
     if args.slo_txn_us is not None:
         ssd.slo.set_slo("txn.commit", args.slo_txn_us)
 
-    ops_per_thread = max(1, args.ops // args.threads)
-    workers = [
-        env.process(
-            _worker(
-                store,
-                namespace_id,
-                random.Random(args.seed + 997 * t),
-                ops_per_thread,
-                args.value_bytes,
-                args.key_space,
-                args.write_fraction,
-            )
-        )
-        for t in range(args.threads)
-    ]
-    done = env.all_of(workers)
+    done = workload.start(args.ops, args.threads)
     env.process(_dashboard(env, ssd, namespace_id, args.interval_us, done, out))
     env.run_until(done)
     # Let the background Put pipeline (phase 2/3, log flushes) drain so
@@ -261,11 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--ops", type=int, default=200, help="total operations")
     parser.add_argument("--threads", type=int, default=4)
-    parser.add_argument("--value-bytes", type=int, default=512)
     parser.add_argument("--key-space", type=int, default=512)
-    parser.add_argument(
-        "--write-fraction", type=float, default=0.5, help="Put share of the mix"
-    )
     parser.add_argument("--seed", type=int, default=42, help="workload RNG seed")
     parser.add_argument("--cache-bytes", type=int, default=1 << 20)
     parser.add_argument(

@@ -18,6 +18,9 @@ smoke bench).  Three canonical workloads:
     YCSB B (95% read) through the caching layer and lock table, the
     stack the paper's Figure 10 exercises.
 
+``mixed`` and ``ycsb-b`` are the :mod:`repro.workloads.canonical`
+definitions that ``prof``, ``record`` and ``obs`` run too.
+
 Each workload reports two kinds of numbers:
 
 * ``sim_events`` and ``events_per_op`` are **deterministic** — identical
@@ -85,61 +88,28 @@ def _run_kernel(scale: int) -> Dict[str, Any]:
     }
 
 
-def _run_mixed(scale: int) -> Dict[str, Any]:
-    """50/50 Get/Put through the full KAML store."""
+#: Seed and total ops per unit of ``--scale`` of each canonical KV
+#: workload (4 threads; ycsb-b loads 1000 records per unit).
+_CANONICAL_RUNS = {"mixed": (42, 2000), "ycsb-b": (7, 1000)}
+
+
+def _run_canonical(name: str, scale: int) -> Dict[str, Any]:
+    """One :mod:`repro.workloads.canonical` workload through the full
+    KAML store; only the run after setup is counted and timed."""
     from repro.harness.runner import build_kaml_store
-    from repro.kaml import NamespaceAttributes
-    from repro.workloads.oltp import drive
+    from repro.workloads.canonical import canonical
 
-    threads, ops_per_thread = 4, 500 * scale
-    env, ssd, store = build_kaml_store(cache_bytes=1 << 20)
-
-    def create():
-        attrs = NamespaceAttributes(expected_keys=384, target_load=0.75)
-        namespace_id = yield from ssd.create_namespace(attrs)
-        return namespace_id
-
-    namespace_id = drive(env, create())
-
-    def worker(rng: random.Random, ops: int):
-        for _ in range(ops):
-            key = rng.randrange(512)
-            if rng.random() < 0.5:
-                yield from store.put(namespace_id, key, ("p", key), 512)
-            else:
-                yield from store.get(namespace_id, key)
-
-    events_before = env.events_processed
-    done = env.all_of([
-        env.process(worker(random.Random(42 + 997 * t), ops_per_thread))
-        for t in range(threads)
-    ])
-    started = time.perf_counter()
-    env.run_until(done)
-    wall_s = time.perf_counter() - started
-    return {
-        "ops": threads * ops_per_thread,
-        "sim_events": env.events_processed - events_before,
-        "wall_s": wall_s,
-    }
-
-
-def _run_ycsb_b(scale: int) -> Dict[str, Any]:
-    """YCSB B (95% read, zipfian) through the caching layer."""
-    from repro.harness.runner import build_kaml_store
-    from repro.workloads import KamlAdapter, Ycsb
-
-    threads, ops_per_thread = 4, 250 * scale
-    records = 1000 * scale
+    seed, ops_per_scale = _CANONICAL_RUNS[name]
+    ops = ops_per_scale * scale
     env, _ssd, store = build_kaml_store(cache_bytes=1 << 20)
-    ycsb = Ycsb(env, KamlAdapter(store), records=records, workload="b", seed=7)
-    ycsb.setup()
+    workload = canonical(name, env, store, seed=seed, records=1000 * scale)
+    workload.setup()
     events_before = env.events_processed
     started = time.perf_counter()
-    ycsb.run(threads=threads, ops_per_thread=ops_per_thread)
+    workload.run(ops, threads=4)
     wall_s = time.perf_counter() - started
     return {
-        "ops": threads * ops_per_thread,
+        "ops": ops,
         "sim_events": env.events_processed - events_before,
         "wall_s": wall_s,
     }
@@ -147,8 +117,8 @@ def _run_ycsb_b(scale: int) -> Dict[str, Any]:
 
 _RUNNERS = {
     "kernel": _run_kernel,
-    "mixed": _run_mixed,
-    "ycsb-b": _run_ycsb_b,
+    "mixed": lambda scale: _run_canonical("mixed", scale),
+    "ycsb-b": lambda scale: _run_canonical("ycsb-b", scale),
 }
 
 
@@ -254,17 +224,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 continue
             # Mirror this workload's perf parameters so the breakdown
             # explains the run the gate actually measures.
-            if name == "mixed":
-                prof_argv = [
-                    "--workload", "mixed", "--seed", "42",
-                    "--ops", str(2000 * args.scale),
-                ]
-            else:
-                prof_argv = [
-                    "--workload", "ycsb-b", "--seed", "7",
-                    "--ops", str(1000 * args.scale),
-                    "--records", str(1000 * args.scale),
-                ]
+            seed, ops_per_scale = _CANONICAL_RUNS[name]
+            prof_argv = [
+                "--workload", name, "--seed", str(seed),
+                "--ops", str(ops_per_scale * args.scale),
+                "--records", str(1000 * args.scale),
+            ]
             print(f"\n[profile] {name}")
             prof_cli.run_prof(
                 prof_cli.build_parser().parse_args(prof_argv + ["--no-timeseries"])

@@ -24,19 +24,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from typing import Any, Dict, List, Optional
 
 from repro.harness.reporting import format_kv, format_table
-from repro.kaml import NamespaceAttributes
 from repro.obs import analyze, collapsed_stacks, write_collapsed
 from repro.obs.profile import breakdown_rows, markdown_breakdown
 from repro.obs.trace import FlightRecorder
-
-#: Profileable workloads (the perf CLI's ``kernel`` has no KV stack and
-#: therefore no spans to attribute).
-WORKLOADS = ("ycsb-b", "mixed")
+from repro.workloads.canonical import WORKLOADS, canonical
 
 
 def _build_stack(cache_bytes: int, recorder_capacity: int):
@@ -52,59 +47,6 @@ def _build_stack(cache_bytes: int, recorder_capacity: int):
     ssd.tracer.recorder = recorder
     ssd.slo.recorder = recorder
     return env, ssd, store
-
-
-def _run_ycsb_b(env, ssd, store, args) -> None:
-    """YCSB B through the caching layer (the Figure 10 stack)."""
-    from repro.workloads import KamlAdapter, Ycsb
-
-    ycsb = Ycsb(
-        env,
-        KamlAdapter(store),
-        records=args.records,
-        workload="b",
-        seed=args.seed,
-    )
-    ycsb.setup()
-    _start_measurement(env, ssd, args)
-    ops_per_thread = max(1, args.ops // args.threads)
-    ycsb.run(threads=args.threads, ops_per_thread=ops_per_thread)
-
-
-def _run_mixed(env, ssd, store, args) -> None:
-    """50/50 Get/Put mix (the perf gate's headline workload)."""
-    from repro.workloads.oltp import drive
-
-    def create():
-        attributes = NamespaceAttributes(
-            expected_keys=int(args.key_space * 0.75), target_load=0.75
-        )
-        namespace_id = yield from ssd.create_namespace(attributes)
-        return namespace_id
-
-    namespace_id = drive(env, create())
-
-    def worker(rng, ops):
-        for _ in range(ops):
-            key = rng.randrange(args.key_space)
-            if rng.random() < 0.5:
-                yield from store.put(namespace_id, key, ("prof", key), 512)
-            else:
-                yield from store.get(namespace_id, key)
-
-    _start_measurement(env, ssd, args)
-    ops_per_thread = max(1, args.ops // args.threads)
-    workers = [
-        env.process(worker(random.Random(args.seed + 997 * t), ops_per_thread))
-        for t in range(args.threads)
-    ]
-    env.run_until(env.all_of(workers))
-
-
-_RUNNERS = {
-    "ycsb-b": _run_ycsb_b,
-    "mixed": _run_mixed,
-}
 
 
 def _start_measurement(env, ssd, args) -> None:
@@ -133,7 +75,13 @@ def run_prof(args: argparse.Namespace, out=None) -> Dict[str, Any]:
     """Build the stack, run the workload, profile; returns the report."""
     out = out if out is not None else sys.stdout
     env, ssd, store = _build_stack(args.cache_bytes, args.recorder_capacity)
-    _RUNNERS[args.workload](env, ssd, store, args)
+    workload = canonical(
+        args.workload, env, store,
+        seed=args.seed, key_space=args.key_space, records=args.records,
+    )
+    workload.setup()
+    _start_measurement(env, ssd, args)
+    workload.run(args.ops, args.threads)
 
     # Let the background Put pipeline (phases 2/3, log flushes) drain so
     # detached spans finish and the trees are complete.

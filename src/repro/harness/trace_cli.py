@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from typing import Any, Dict, List, Optional
 
 from repro.harness.reporting import format_kv
-from repro.kaml import NamespaceAttributes
+from repro.obs.metrics import percentile
 from repro.obs.oplog import load_journal, mix_summary, write_journal
+from repro.workloads.canonical import WORKLOADS, canonical
 from repro.workloads.replay import (
     SYNTH_GENERATORS,
     journal_to_issues,
@@ -34,62 +34,12 @@ from repro.workloads.replay import (
     replay_journal,
 )
 
-SIM_WORKLOADS = ("ycsb-b", "mixed")
-RECORD_WORKLOADS = SIM_WORKLOADS + tuple(sorted(SYNTH_GENERATORS))
+RECORD_WORKLOADS = WORKLOADS + tuple(sorted(SYNTH_GENERATORS))
 
 
 # ---------------------------------------------------------------------------
 # record
 # ---------------------------------------------------------------------------
-
-def _record_ycsb_b(env, ssd, store, args) -> None:
-    from repro.workloads import KamlAdapter, Ycsb
-
-    ycsb = Ycsb(
-        env,
-        KamlAdapter(store),
-        records=args.records,
-        workload="b",
-        seed=args.seed,
-    )
-    ycsb.setup()
-    ops_per_thread = max(1, args.ops // args.threads)
-    ycsb.run(threads=args.threads, ops_per_thread=ops_per_thread)
-
-
-def _record_mixed(env, ssd, store, args) -> None:
-    from repro.workloads.oltp import drive
-
-    def create():
-        attributes = NamespaceAttributes(
-            expected_keys=int(args.key_space * 0.75), target_load=0.75
-        )
-        namespace_id = yield from ssd.create_namespace(attributes)
-        return namespace_id
-
-    namespace_id = drive(env, create())
-
-    def worker(rng, ops):
-        for _ in range(ops):
-            key = rng.randrange(args.key_space)
-            if rng.random() < 0.5:
-                yield from store.put(namespace_id, key, ("rec", key), 512)
-            else:
-                yield from store.get(namespace_id, key)
-
-    ops_per_thread = max(1, args.ops // args.threads)
-    workers = [
-        env.process(worker(random.Random(args.seed + 997 * t), ops_per_thread))
-        for t in range(args.threads)
-    ]
-    env.run_until(env.all_of(workers))
-
-
-_SIM_RECORDERS = {
-    "ycsb-b": _record_ycsb_b,
-    "mixed": _record_mixed,
-}
-
 
 def _print_journal_summary(rows: List[Dict[str, Any]], out) -> None:
     summary = mix_summary(rows)
@@ -126,7 +76,12 @@ def run_record(args: argparse.Namespace, out=None) -> Dict[str, Any]:
     ssd.tracer.enabled = True
     journal = ssd.enable_oplog(path=args.out, capacity=args.capacity)
     try:
-        _SIM_RECORDERS[args.workload](env, ssd, store, args)
+        workload = canonical(
+            args.workload, env, store,
+            seed=args.seed, key_space=args.key_space, records=args.records,
+        )
+        workload.setup()
+        workload.run(args.ops, args.threads)
         # Drain so every captured command has acked before the file closes.
         for _ in range(2):
             settle = env.process(ssd.drain())
@@ -193,14 +148,6 @@ def record_main(argv: Optional[List[str]] = None, out=None) -> int:
 # replay
 # ---------------------------------------------------------------------------
 
-def _percentile(sorted_values: List[float], fraction: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1,
-                max(0, int(round(fraction * (len(sorted_values) - 1)))))
-    return sorted_values[index]
-
-
 def run_replay(args: argparse.Namespace, out=None) -> Dict[str, Any]:
     out = out if out is not None else sys.stdout
     rows = load_journal(args.journal)
@@ -247,8 +194,8 @@ def run_replay(args: argparse.Namespace, out=None) -> Dict[str, Any]:
         "elapsed_us": result.elapsed_us,
         "ops_per_second": result.ops_per_second,
         "throughput_mb_s": result.throughput_mb_s,
-        "latency_p50_us": _percentile(latencies, 0.50),
-        "latency_p99_us": _percentile(latencies, 0.99),
+        "latency_p50_us": percentile(latencies, 0.50),
+        "latency_p99_us": percentile(latencies, 0.99),
         "namespace_map": {str(k): v for k, v in sorted(namespace_map.items())},
     }
     if capture is not None:

@@ -50,49 +50,6 @@ class _WritePoint:
     timer: Optional[Event] = None
 
 
-class LogStats:
-    """Registry-backed per-log counters with the legacy attribute names.
-
-    The underlying counters carry ``log=<id>`` labels (plus ``namespace``
-    and ``stream`` on the byte/record counters) so figure-level reports
-    can attribute bandwidth; this view re-aggregates them for existing
-    ``log.stats.x`` callers.
-    """
-
-    def __init__(self, metrics, log_id: int):
-        self._metrics = metrics
-        self._log_id = log_id
-
-    def _count(self, name: str) -> int:
-        return int(self._metrics.total(name, log=self._log_id))
-
-    @property
-    def appended_records(self) -> int:
-        return self._count("kaml.log.appended_records")
-
-    @property
-    def programmed_pages(self) -> int:
-        return self._count("kaml.log.programmed_pages")
-
-    @property
-    def gc_relocated_records(self) -> int:
-        return self._count("kaml.log.gc.relocated_records")
-
-    @property
-    def gc_erased_blocks(self) -> int:
-        return self._count("kaml.log.gc.erased_blocks")
-
-    @property
-    def wasted_chunks(self) -> int:
-        # Trailing chunks lost when a record didn't fit the open page.
-        return self._count("kaml.log.wasted_chunks")
-
-    @property
-    def retired_blocks(self) -> int:
-        # Blocks that exceeded erase endurance.
-        return self._count("kaml.log.retired_blocks")
-
-
 class KamlLog:
     """One append log on one flash target.
 
@@ -131,13 +88,12 @@ class KamlLog:
         if self.metrics is None:
             from repro.obs import MetricsRegistry
 
-            self.metrics = MetricsRegistry(clock=lambda: env.now)
+            self.metrics = MetricsRegistry()
         self.tracer = getattr(hooks, "tracer", None) or NullTracer()
         #: Monotonic id for GC passes; tags every span of one pass.
         self._gc_generation = 0
         self.gc_policy = WearAwarePolicy()
         self.gc_policy.metrics = self.metrics
-        self.stats = LogStats(self.metrics, log_id)
         self.free: List[int] = list(range(self.geometry.blocks_per_chip))
         self.full: List[int] = []
         self._active: Dict[bool, Optional[int]] = {False: None, True: None}  # for_gc -> block

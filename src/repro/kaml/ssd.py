@@ -102,40 +102,6 @@ class StagedBatch:
         self.txn_id = txn_id
 
 
-class KamlStats:
-    """Registry-backed view with the legacy counter attribute names.
-
-    Kept so ``ssd.stats.gets``-style callers survive the migration to the
-    :mod:`repro.obs` registry; the registry is the source of truth.
-    """
-
-    def __init__(self, metrics: MetricsRegistry) -> None:
-        self._metrics = metrics
-
-    def _count(self, name: str) -> int:
-        return int(self._metrics.total(name))
-
-    @property
-    def gets(self) -> int:
-        return self._count("kaml.ssd.gets")
-
-    @property
-    def puts(self) -> int:
-        return self._count("kaml.ssd.puts")
-
-    @property
-    def put_records(self) -> int:
-        return self._count("kaml.ssd.put_records")
-
-    @property
-    def deletes(self) -> int:
-        return self._count("kaml.ssd.deletes")
-
-    @property
-    def recovered_batches(self) -> int:
-        return self._count("kaml.ssd.recovered_batches")
-
-
 class KamlSsd:
     """A key-addressable, multi-log SSD."""
 
@@ -155,9 +121,7 @@ class KamlSsd:
         self.config = config
         self.geometry = config.geometry
         self.costs = config.firmware
-        self.metrics = metrics if metrics is not None else MetricsRegistry(
-            clock=lambda: env.now
-        )
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         env.attach_metrics(self.metrics)
         #: Request-scoped tracing: one tracer + flight recorder per stack,
         #: and the per-namespace latency SLO tracker on top of both.  The
@@ -172,7 +136,6 @@ class KamlSsd:
         self.nvram = NvramBuffer(env, config.resources.nvram_bytes)
         self.link = HostInterconnect(env, config.interconnect)
         self.dram = OnboardDram(config.resources.dram_bytes)
-        self.stats = KamlStats(self.metrics)
         # Logs occupy targets channel-major so that N <= channels logs land
         # on N distinct channels (the Figure 8 configuration).
         self.logs: List[KamlLog] = []
@@ -1691,8 +1654,8 @@ class KamlSsd:
             "staged_records": len(self._staged),
             "valid_bytes": sum(self._valid_bytes.values()),
             "free_blocks": sum(log.free_blocks for log in self.logs),
-            "retired_blocks": sum(log.stats.retired_blocks for log in self.logs),
-            "gc_erased_blocks": sum(log.stats.gc_erased_blocks for log in self.logs),
+            "retired_blocks": int(self.metrics.total("kaml.log.retired_blocks")),
+            "gc_erased_blocks": int(self.metrics.total("kaml.log.gc.erased_blocks")),
             "flash_programs": self.array.total_programs(),
             "flash_reads": self.array.total_reads(),
             "erase_count_min": erase_low,

@@ -2,8 +2,9 @@
 
 One :class:`MetricsRegistry` per simulated stack is the single source of
 truth for counters (ops, bytes, erases), gauges (queue depths, NVRAM
-usage), and histograms (latency phases, GC victim quality).  Spans are
-driven by simulated time, never the wall clock.  See the
+usage), and histograms (latency phases, GC victim quality).  Spans come
+from the request-scoped :class:`Tracer`, driven by simulated time, never
+the wall clock.  See the
 "Observability" section of docs/internals.md for naming and label
 conventions.
 """
@@ -16,7 +17,7 @@ from repro.obs.metrics import (
     labels_key,
     percentile,
 )
-from repro.obs.registry import MetricsRegistry, SpanRecord
+from repro.obs.registry import MetricsRegistry
 from repro.obs.export import (
     derived_metrics,
     summary_row,
@@ -77,7 +78,6 @@ __all__ = [
     "SloTracker",
     "SPAN_COMPONENTS",
     "SpanEvent",
-    "SpanRecord",
     "TimeSeriesCollector",
     "TraceContext",
     "Tracer",

@@ -34,7 +34,7 @@ def derived_metrics(registry: MetricsRegistry) -> Dict[str, float]:
     return derived
 
 
-def to_builtin(registry: MetricsRegistry, traces: bool = False) -> Dict[str, Any]:
+def to_builtin(registry: MetricsRegistry) -> Dict[str, Any]:
     """The registry as plain dicts/lists, ready for ``json.dump``."""
     counters: Dict[str, Any] = {}
     gauges: Dict[str, Any] = {}
@@ -46,29 +46,21 @@ def to_builtin(registry: MetricsRegistry, traces: bool = False) -> Dict[str, Any
             "histogram": histograms,
         }[instrument.kind]
         section[instrument.key_string()] = instrument.export()
-    payload: Dict[str, Any] = {
+    return {
         "counters": counters,
         "gauges": gauges,
         "histograms": histograms,
         "derived": derived_metrics(registry),
     }
-    if traces:
-        payload["traces"] = [record.export() for record in registry.traces]
-        payload["dropped_traces"] = registry.dropped_traces
-    return payload
 
 
-def to_json(
-    registry: MetricsRegistry, indent: int = 2, traces: bool = False
-) -> str:
-    return json.dumps(to_builtin(registry, traces=traces), indent=indent, sort_keys=True)
+def to_json(registry: MetricsRegistry, indent: int = 2) -> str:
+    return json.dumps(to_builtin(registry), indent=indent, sort_keys=True)
 
 
-def write_json(
-    registry: MetricsRegistry, path: str, traces: bool = False
-) -> None:
+def write_json(registry: MetricsRegistry, path: str) -> None:
     with open(path, "w") as handle:
-        handle.write(to_json(registry, traces=traces))
+        handle.write(to_json(registry))
         handle.write("\n")
 
 

@@ -21,6 +21,7 @@ from random import Random
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster import AdmissionError, KamlCluster, TenantPolicy
+from repro.obs.metrics import percentile
 from repro.sim import Environment
 
 #: Spread between a tenant's smallest and largest record.
@@ -83,10 +84,7 @@ class TenantResult:
 
     @property
     def p99_latency_us(self) -> float:
-        if not self.latencies_us:
-            return 0.0
-        ordered = sorted(self.latencies_us)
-        return ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))]
+        return percentile(sorted(self.latencies_us), 0.99)
 
     def to_builtin(self) -> Dict[str, Any]:
         return {

@@ -8,7 +8,7 @@ from repro.obs import MetricsRegistry, Tracer
 
 
 def make_qos():
-    metrics = MetricsRegistry(clock=lambda: 0.0)
+    metrics = MetricsRegistry()
     tracer = Tracer(clock=lambda: 0.0)
     return QosManager(metrics, tracer.recorder), metrics
 

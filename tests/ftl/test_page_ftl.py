@@ -100,9 +100,9 @@ def test_subpage_write_triggers_rmw_on_mapped_lba():
     dev.precondition()
 
     def flow():
-        before = dev.ftl.stats.rmw_reads
+        before = dev.ftl.metrics.total("ftl.rmw_reads")
         yield from dev.write(0, "small", nbytes=512)
-        return dev.ftl.stats.rmw_reads - before
+        return dev.ftl.metrics.total("ftl.rmw_reads") - before
 
     assert run(env, flow()) == 1
 
@@ -111,9 +111,9 @@ def test_subpage_write_no_rmw_on_unmapped_lba():
     env, dev = make_device()
 
     def flow():
-        before = dev.ftl.stats.rmw_reads
+        before = dev.ftl.metrics.total("ftl.rmw_reads")
         yield from dev.write(0, "small", nbytes=512)
-        return dev.ftl.stats.rmw_reads - before
+        return dev.ftl.metrics.total("ftl.rmw_reads") - before
 
     assert run(env, flow()) == 0
 
@@ -123,9 +123,9 @@ def test_full_page_write_never_rmw():
     dev.precondition()
 
     def flow():
-        before = dev.ftl.stats.rmw_reads
+        before = dev.ftl.metrics.total("ftl.rmw_reads")
         yield from dev.write(0, "big", nbytes=LOGICAL_PAGE)
-        return dev.ftl.stats.rmw_reads - before
+        return dev.ftl.metrics.total("ftl.rmw_reads") - before
 
     assert run(env, flow()) == 0
 
@@ -190,7 +190,7 @@ def test_gc_reclaims_space_under_overwrite_churn():
     for lpn, value in enumerate(results):
         last_i = ((total_writes - 1 - lpn) // working_set) * working_set + lpn
         assert value == ("v", last_i), lpn
-    assert dev.ftl.stats.gc_erased_blocks > 0
+    assert dev.ftl.metrics.total("ftl.gc.erased_blocks") > 0
 
 
 def test_gc_preserves_cold_data():
@@ -218,7 +218,7 @@ def test_gc_preserves_cold_data():
 
     values = run(env, flow())
     assert values == list(cold.values())
-    assert dev.ftl.stats.gc_erased_blocks > 0
+    assert dev.ftl.metrics.total("ftl.gc.erased_blocks") > 0
 
 
 def test_concurrent_writers_consistent():

@@ -75,13 +75,13 @@ def test_wear_retires_blocks_and_device_survives():
         env.run_until(proc)
     except OutOfSpaceError:
         # Acceptable end state: the device wore out entirely.
-        assert device.ftl.stats.retired_blocks > 0
+        assert device.ftl.metrics.total("ftl.retired_blocks") > 0
         return
     values = proc.value
     for lpn, value in enumerate(values):
         last = ((700 - 1 - lpn) // 4) * 4 + lpn
         assert value == ("w", last)
-    assert device.ftl.stats.retired_blocks > 0
+    assert device.ftl.metrics.total("ftl.retired_blocks") > 0
 
 
 def test_write_version_ordering_rapid_overwrites():

@@ -1,6 +1,7 @@
 """The simulator-throughput benchmark CLI (python -m repro.harness perf)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -58,3 +59,15 @@ def test_cli_rejects_unknown_workload(capsys):
 def test_list_mentions_perf(capsys):
     harness_main(["--list"])
     assert "perf" in capsys.readouterr().out
+
+
+BASELINE = Path(__file__).resolve().parents[2] / "benchmarks" / "baseline.json"
+
+
+@pytest.mark.parametrize("workload", perf_cli.WORKLOADS)
+def test_sim_events_match_baseline_exactly(workload):
+    """The CI perf gate allows ``sim_events`` 15%; tier-1 holds every
+    workload to the baseline's exact count, so a change to a canonical
+    workload's definition cannot slip through under the tolerance."""
+    pinned = json.loads(BASELINE.read_text())["perf"]["workloads"][workload]
+    assert perf_cli.measure(workload, repeat=1)["sim_events"] == pinned["sim_events"]

@@ -44,7 +44,7 @@ def test_transactions_survive_gc_pressure():
     proc = env.process(flow())
     env.run_until(proc)
     assert proc.value == [("round", 59, key) for key in range(4)]
-    assert sum(log.stats.gc_erased_blocks for log in ssd.logs) > 0
+    assert ssd.metrics.total("kaml.log.gc.erased_blocks") > 0
 
 
 def test_cache_miss_path_reads_through_ssd():
@@ -69,8 +69,8 @@ def test_cache_miss_path_reads_through_ssd():
     proc = env.process(flow())
     env.run_until(proc)
     assert proc.value == [("v", key) for key in range(32)]
-    assert store.buffer.stats.evictions > 0
-    assert store.buffer.stats.misses > 0
+    assert store.buffer.metrics.total("cache.evictions") > 0
+    assert store.buffer.metrics.total("cache.misses") > 0
 
 
 def test_tpcb_invariant_with_tiny_cache():
@@ -187,4 +187,4 @@ def test_delete_namespace_frees_space_for_gc():
     proc = env.process(flow())
     env.run_until(proc)
     assert proc.value == ("two", 29)
-    assert ssd.logs[0].stats.gc_erased_blocks > 0
+    assert ssd.metrics.total("kaml.log.gc.erased_blocks", log=0) > 0

@@ -86,7 +86,7 @@ def test_mixed_stress_audit():
     assert sum(ssd._valid_bytes.values()) == expected_valid
     assert not ssd._staged
     # GC actually ran under this churn.
-    assert sum(log.stats.gc_erased_blocks for log in ssd.logs) > 0
+    assert ssd.metrics.total("kaml.log.gc.erased_blocks") > 0
 
 
 def test_page_granularity_inserts_fragment_but_work():

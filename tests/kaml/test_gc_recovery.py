@@ -52,7 +52,7 @@ def test_gc_reclaims_space_under_churn():
     for key, value in enumerate(values):
         last_i = ((total_writes - 1 - key) // working_set) * working_set + key
         assert value == ("v", last_i), key
-    assert ssd.logs[0].stats.gc_erased_blocks > 0
+    assert ssd.metrics.total("kaml.log.gc.erased_blocks", log=0) > 0
 
 
 def test_gc_preserves_cold_records():
@@ -75,7 +75,7 @@ def test_gc_preserves_cold_records():
 
     values = run(env, flow())
     assert values == [("cold", key) for key in range(4)]
-    assert ssd.logs[0].stats.gc_erased_blocks > 0
+    assert ssd.metrics.total("kaml.log.gc.erased_blocks", log=0) > 0
 
 
 def test_gc_spreads_erases():
@@ -139,7 +139,7 @@ def test_recovery_replays_staged_batch():
         return a, b
 
     assert run(env, recovery_flow()) == ("alpha", "beta")
-    assert ssd.stats.recovered_batches >= 1
+    assert ssd.metrics.total("kaml.ssd.recovered_batches") >= 1
 
 
 def test_recovery_is_atomic_per_batch():
@@ -219,7 +219,7 @@ def test_recovery_with_nothing_staged_is_noop():
         return value
 
     assert run(env, recovery_flow()) == "x"
-    assert ssd.stats.recovered_batches == 0
+    assert ssd.metrics.total("kaml.ssd.recovered_batches") == 0
 
 
 def test_recovery_last_writer_wins_for_same_key():

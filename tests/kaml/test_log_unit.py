@@ -95,7 +95,7 @@ def test_append_returns_location_after_program():
     location = run(env, flow())
     assert isinstance(location, RecordLocation)
     assert location.chunk == 0
-    assert log.stats.programmed_pages >= 1
+    assert log.metrics.total("kaml.log.programmed_pages", log=log.log_id) >= 1
     data, bitmap = array.block_at(location.page).read(location.page.page)
     assert data[0].key == 1
     assert decode_bitmap(bitmap)[0] == (0, location.nchunks)
@@ -117,7 +117,7 @@ def test_records_pack_into_one_page():
     assert len(pages) == 1  # 4 x 8-chunk records share one 64-chunk page
     chunks = [loc.chunk for loc in locations]
     assert chunks == sorted(chunks)
-    assert log.stats.programmed_pages == 1
+    assert log.metrics.total("kaml.log.programmed_pages", log=log.log_id) == 1
 
 
 def test_full_page_flushes_without_timer():
@@ -132,7 +132,7 @@ def test_full_page_flushes_without_timer():
 
     finished = run(env, flow())
     assert finished < 10_000_000.0  # programmed by page-full, not timer
-    assert log.stats.programmed_pages == 1
+    assert log.metrics.total("kaml.log.programmed_pages", log=log.log_id) == 1
 
 
 def test_timer_flushes_partial_page():
@@ -144,7 +144,7 @@ def test_timer_flushes_partial_page():
 
     finished, _location = run(env, flow())
     assert finished >= 500.0  # waited for the timer
-    assert log.stats.wasted_chunks > 0
+    assert log.metrics.total("kaml.log.wasted_chunks", log=log.log_id) > 0
 
 
 def test_oversized_tail_starts_new_page():
@@ -176,8 +176,9 @@ def test_gc_reclaims_invalid_records():
         return True
 
     assert run(env, flow())
-    assert log.stats.gc_erased_blocks > 0
-    assert log.stats.gc_relocated_records == 0  # nothing was valid
+    assert log.metrics.total("kaml.log.gc.erased_blocks", log=log.log_id) > 0
+    # Nothing was valid.
+    assert log.metrics.total("kaml.log.gc.relocated_records", log=log.log_id) == 0
 
 
 def test_gc_relocates_valid_records():
@@ -222,7 +223,7 @@ def test_worn_out_blocks_retire():
         run(env, flow())
     except LogSpaceError:
         pass  # acceptable: the device ran out of healthy blocks mid-run
-    assert log.stats.retired_blocks > 0
+    assert log.metrics.total("kaml.log.retired_blocks", log=log.log_id) > 0
     # Retired blocks never return to the free pool.
     chip = array.chip(0, 0)
     for block_index in log.free:
@@ -319,7 +320,7 @@ def test_erase_wakes_parked_flushes_in_order_within_budget():
         env.process(appender(key))
     env.run()
     assert len(locations) == appenders
-    assert log.stats.gc_erased_blocks > 0
+    assert log.metrics.total("kaml.log.gc.erased_blocks", log=log.log_id) > 0
     assert len(first_parked) > appenders // 2
     parked = set(first_parked)
     assert [proc for proc in programmed if proc in parked] == first_parked
@@ -382,7 +383,7 @@ def test_power_loss_drops_parked_flushes():
         env.process(survivor(key))
     env.run()
     assert len(completed) == 20
-    assert log.stats.gc_erased_blocks > 0
+    assert log.metrics.total("kaml.log.gc.erased_blocks", log=log.log_id) > 0
     # The pre-cut pass ends as a ghost: it must not clear the live
     # pass's running flag, or a flush starts a second pass beside it.
     assert passes[1] == 1

@@ -1,9 +1,9 @@
 """Integration: a real workload populates the registry end to end, and
-the compatible stats accessors agree with the raw counters."""
+its counters keep their cross-family invariants."""
 
 import pytest
 
-from repro.harness import build_kaml_ssd, build_kaml_store
+from repro.harness import build_kaml_store
 from repro.harness.reporting import to_json as result_to_json
 from repro.kaml import PutItem
 from repro.obs import derived_metrics
@@ -45,9 +45,7 @@ def test_cache_hits_plus_misses_equals_reads(ycsb_run):
     # Every cache miss becomes exactly one SSD Get (YCSB never scans or
     # reads snapshots, so the gets counter is pure get_record traffic).
     assert misses == registry.total("kaml.ssd.gets")
-    assert derived_metrics(registry)["cache.hit_rate"] == pytest.approx(
-        store.buffer.stats.hit_ratio
-    )
+    assert derived_metrics(registry)["cache.hit_rate"] == pytest.approx(hits / (hits + misses))
 
 
 def test_put_phase_histograms_populated(ycsb_run):
@@ -73,17 +71,15 @@ def test_per_namespace_bandwidth_counters(ycsb_run):
     assert append > 0
 
 
-def test_stats_views_match_registry(ycsb_run):
+def test_registry_counter_invariants(ycsb_run):
     _env, ssd, store, _result = ycsb_run
     registry = store.metrics
-    assert ssd.stats.gets == registry.total("kaml.ssd.gets")
-    assert ssd.stats.puts == registry.total("kaml.ssd.puts")
-    assert store.stats.begun == registry.total("store.txn.begun")
-    assert store.stats.committed == registry.total("store.txn.committed")
-    assert store.stats.begun == store.stats.committed + store.stats.aborted
+    begun = registry.total("store.txn.begun")
+    assert begun > 0
+    assert begun == registry.total("store.txn.committed") + registry.total("store.txn.aborted")
     assert store.locks.conflicts == registry.total("cache.lock.conflicts")
-    total_appended = sum(log.stats.appended_records for log in ssd.logs)
-    assert total_appended == registry.total("kaml.log.appended_records")
+    per_log = sum(registry.total("kaml.log.appended_records", log=log.log_id) for log in ssd.logs)
+    assert per_log == registry.total("kaml.log.appended_records")
 
 
 def test_firmware_and_queue_gauges_touched(ycsb_run):
@@ -140,24 +136,3 @@ def test_result_to_json_embeds_registry(ycsb_run):
     assert decoded["title"] == "ycsb-a smoke"
     assert decoded["registry"]["derived"]["kaml.gc.write_amplification"] >= 1.0
     assert "kaml.put.phase1_us" in decoded["registry"]["histograms"]
-
-
-def test_span_api_measures_ssd_operation_sim_time():
-    """The span API composes with stack instruments: wrap a Put, get its
-    end-to-end sim-time distribution under the caller's own name."""
-    env, ssd = build_kaml_ssd()
-
-    def create():
-        namespace_id = yield from ssd.create_namespace()
-        return namespace_id
-
-    namespace_id = drive(env, create())
-
-    def one_put():
-        with ssd.metrics.span("client.put_us", namespace=namespace_id):
-            yield from ssd.put([PutItem(namespace_id, 1, b"v", 64)])
-
-    drive(env, one_put())
-    histogram = ssd.metrics.histogram("client.put_us", namespace=namespace_id)
-    assert histogram.count == 1
-    assert histogram.summary()["mean"] > 0.0

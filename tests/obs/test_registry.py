@@ -1,5 +1,5 @@
 """Unit tests for the registry: instrument families, label filtering,
-sim-time spans with nesting, and the JSON/plaintext exporters."""
+and the JSON/plaintext exporters."""
 
 import json
 
@@ -12,19 +12,6 @@ from repro.obs import (
     to_json,
     to_text,
 )
-
-
-class FakeClock:
-    """A controllable sim-time stand-in."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def advance(self, delta):
-        self.now += delta
-
-    def __call__(self):
-        return self.now
 
 
 # ---------------------------------------------------------------------------
@@ -88,89 +75,6 @@ def test_observe_shorthand():
     assert registry.histogram("lat_us", log=1).count == 1
 
 
-def test_reset_clears_everything():
-    registry = MetricsRegistry()
-    registry.counter("x").inc()
-    with registry.span("s"):
-        pass
-    registry.reset()
-    assert registry.value("x") == 0.0
-    assert registry.traces == []
-
-
-# ---------------------------------------------------------------------------
-# Spans (sim-time, nesting)
-# ---------------------------------------------------------------------------
-
-def test_span_measures_sim_time_not_wall_clock():
-    clock = FakeClock()
-    registry = MetricsRegistry(clock=clock)
-    with registry.span("work_us"):
-        clock.advance(25.0)
-    histogram = registry.histogram("work_us")
-    assert histogram.count == 1
-    assert histogram.summary()["mean"] == 25.0
-
-
-def test_span_nesting_sets_parent_and_depth():
-    clock = FakeClock()
-    registry = MetricsRegistry(clock=clock)
-    with registry.span("outer_us") as outer:
-        clock.advance(1.0)
-        with registry.span("inner_us") as inner:
-            clock.advance(2.0)
-    assert outer.parent is None
-    assert outer.depth == 0
-    assert inner.parent is outer
-    assert inner.depth == 1
-    assert outer.duration_us == 3.0
-    assert inner.duration_us == 2.0
-
-
-def test_span_active_stack_and_trace_buffer():
-    registry = MetricsRegistry()
-    with registry.span("a"):
-        assert [s.name for s in registry.active_spans] == ["a"]
-    assert registry.active_spans == []
-    assert [record.name for record in registry.traces] == ["a"]
-
-
-def test_span_trace_buffer_cap():
-    registry = MetricsRegistry(max_trace_records=2)
-    for _ in range(4):
-        with registry.span("s"):
-            pass
-    assert len(registry.traces) == 2
-    assert registry.dropped_traces == 2
-    # The histogram still sees every span.
-    assert registry.histogram("s").count == 4
-
-
-def test_span_tolerates_out_of_lifo_close():
-    # Interleaved sim processes can close an outer span while an inner
-    # one (of another process) is still open.
-    clock = FakeClock()
-    registry = MetricsRegistry(clock=clock)
-    a = registry.span("a").__enter__()
-    span_b = registry.span("b")
-    span_b.__enter__()
-    registry._close_span(a)
-    clock.advance(5.0)
-    span_b.__exit__(None, None, None)
-    assert registry.active_spans == []
-    assert registry.histogram("b").summary()["mean"] == 5.0
-
-
-def test_span_records_duration_on_exception():
-    clock = FakeClock()
-    registry = MetricsRegistry(clock=clock)
-    with pytest.raises(RuntimeError):
-        with registry.span("failing_us"):
-            clock.advance(3.0)
-            raise RuntimeError("boom")
-    assert registry.histogram("failing_us").summary()["mean"] == 3.0
-
-
 # ---------------------------------------------------------------------------
 # Exporters
 # ---------------------------------------------------------------------------
@@ -208,13 +112,8 @@ def test_to_builtin_sections():
 
 
 def test_to_json_round_trips():
-    registry = _populated_registry()
-    with registry.span("traced"):
-        pass
-    decoded = json.loads(to_json(registry, traces=True))
+    decoded = json.loads(to_json(_populated_registry()))
     assert decoded["counters"]["kaml.log.append_bytes{stream=gc}"]["value"] == 50.0
-    assert decoded["traces"][0]["name"] == "traced"
-    assert decoded["dropped_traces"] == 0
 
 
 def test_to_text_report():
